@@ -10,10 +10,10 @@
 //! needed — but budget (`ATR_SIM_WARMUP`/`ATR_SIM_INSTS`) and `ATR_LOG`
 //! behave as everywhere else.
 
-use atr_bench::driver;
 use atr_core::ReleaseScheme;
+use atr_pipeline::CoreConfig;
 use atr_sim::report::cpi_table;
-use atr_sim::runner::{run_profile, RunSpec};
+use atr_sim::{config, run, RunSpec};
 use atr_telemetry::{RunTelemetry, TelemetryConfig, TelemetryLevel};
 use atr_workload::spec::all_profiles;
 
@@ -27,15 +27,16 @@ const SCHEMES: [ReleaseScheme; 4] = [
 const RF_SIZE: usize = 64;
 
 fn main() {
-    let sim = driver::sim();
+    let (warmup, measure) = config::budget();
+    let core = CoreConfig::default();
     let profiles = all_profiles();
     atr_telemetry::info!(
         "cpi_stack: {} profiles x {} schemes @{} regs (warmup {}, measure {})",
         profiles.len(),
         SCHEMES.len(),
         RF_SIZE,
-        sim.warmup,
-        sim.measure
+        warmup,
+        measure
     );
 
     // One aggregate stack per scheme; schemes run on parallel threads,
@@ -44,14 +45,14 @@ fn main() {
     let merged: Vec<(String, RunTelemetry)> = std::thread::scope(|scope| {
         let handles: Vec<_> = SCHEMES
             .map(|scheme| {
-                let sim = &sim;
+                let core = &core;
                 let profiles = &profiles;
                 scope.spawn(move || {
                     let spec = RunSpec {
                         scheme,
                         rf_size: RF_SIZE,
-                        warmup: sim.warmup,
-                        measure: sim.measure,
+                        warmup,
+                        measure,
                         collect_events: false,
                         audit: false,
                         telemetry: TelemetryConfig {
@@ -61,7 +62,7 @@ fn main() {
                     };
                     let mut total = RunTelemetry::default();
                     for profile in profiles {
-                        let result = run_profile(&sim.core, profile, &spec);
+                        let result = run(core, profile.build(), &spec);
                         total.merge(&result.telemetry);
                         atr_telemetry::debug!("{} {} done", profile.name, scheme.label());
                     }

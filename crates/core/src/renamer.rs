@@ -276,7 +276,8 @@ impl Renamer {
         self.prf.get(class).stats()
     }
 
-    /// Bulk no-early-release marking operations performed.
+    /// Bulk no-early-release marking operations performed (ATR schemes
+    /// only; collecting the lifetime log never changes this count).
     #[must_use]
     pub fn markings(&self) -> u64 {
         self.markings
@@ -555,7 +556,12 @@ impl Renamer {
     }
 
     fn mark_all_live(&mut self, is_branch: bool) {
-        self.markings += 1;
+        // Only ATR marks in hardware; a lifetime log walks the same
+        // live set under other schemes for analysis, which must not
+        // show up in the counter.
+        if self.scheme.atr_enabled() {
+            self.markings += 1;
+        }
         for (a, p) in self.srt.live().collect::<Vec<_>>() {
             let prf = self.prf.get_mut(a.class());
             prf.mark_no_early_release(p, is_branch);

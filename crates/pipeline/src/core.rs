@@ -321,8 +321,7 @@ impl OooCore {
         }));
         if let Err(payload) = outcome {
             if let Some(t) = self.telemetry.as_ref() {
-                let path = std::env::var("ATR_TRACE_DUMP")
-                    .unwrap_or_else(|_| format!("atr-audit-trace-cycle{cycle}.kanata"));
+                let path = format!("atr-audit-trace-cycle{cycle}.kanata");
                 match std::fs::write(&path, t.trace.dump_konata()) {
                     Ok(()) => atr_telemetry::info!(
                         "audit failure at cycle {cycle}: wrote {} trace events to {path}",
@@ -1026,23 +1025,4 @@ impl OooCore {
         self.serialize_until = self.fetch_stall_until + u64::from(self.cfg.frontend_depth);
         self.last_commit_cycle = self.cycle;
     }
-}
-
-/// A program is driven through a fresh core; convenience for tests,
-/// examples, and the experiment harness.
-///
-/// # Examples
-///
-/// ```
-/// use atr_pipeline::{run_program, CoreConfig};
-/// use atr_workload::ProfileParams;
-///
-/// let program = ProfileParams { seed: 7, ..ProfileParams::default() }.build();
-/// let stats = run_program(&CoreConfig::default(), program, 10_000);
-/// assert!(stats.retired >= 10_000);
-/// ```
-#[must_use]
-pub fn run_program(cfg: &CoreConfig, program: Arc<Program>, max_insts: u64) -> CoreStats {
-    let mut core = OooCore::new(cfg.clone(), Oracle::new(program));
-    core.run(max_insts)
 }

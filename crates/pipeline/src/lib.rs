@@ -37,7 +37,7 @@ pub mod rob;
 pub mod stats;
 pub mod telemetry;
 
-pub use crate::core::{run_program, InterruptMode, OooCore, RetiredInst};
+pub use crate::core::{InterruptMode, OooCore, RetiredInst};
 pub use config::CoreConfig;
 pub use rob::{RobEntry, RobState};
 pub use stats::CoreStats;

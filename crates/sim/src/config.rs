@@ -1,6 +1,16 @@
-//! Top-level simulation configuration (Table 1).
+//! Top-level simulation configuration (Table 1) and the one reader of
+//! the `ATR_*` environment variables.
+//!
+//! Entry points resolve their knobs here, once: [`budget`],
+//! [`results_dir`] and [`Session::from_env`]. Every read goes through
+//! the private `raw`, and each variable is parsed by a pure function of
+//! its raw value (`parse_*`), so tests exercise the parsing with
+//! literal strings and never touch the process environment.
 
+use crate::session::{Session, DEFAULT_RETRIES};
 use atr_pipeline::CoreConfig;
+use atr_telemetry::{TelemetryConfig, TelemetryLevel};
+use std::path::{Path, PathBuf};
 
 /// A full simulation configuration: the core plus measurement windows.
 #[derive(Debug, Clone, PartialEq)]
@@ -13,123 +23,97 @@ pub struct SimConfig {
     pub measure: u64,
 }
 
-impl SimConfig {
-    /// The paper's Golden-Cove-like configuration (Table 1) with the
-    /// environment-controlled measurement budget.
+/// Every `ATR_*` environment variable the workspace reads, with a
+/// one-line description. The README's environment-variable table lists
+/// exactly these names (a unit test keeps the two in step). All of them
+/// are read through this module except `ATR_LOG`, which the
+/// process-global logger in `atr-telemetry` (below this crate in the
+/// crate graph) reads itself.
+pub const KNOBS: &[(&str, &str)] = &[
+    ("ATR_SIM_WARMUP", "warmup instructions per point"),
+    ("ATR_SIM_INSTS", "measured instructions per point"),
+    ("ATR_SIM_THREADS", "worker threads for the run matrix"),
+    ("ATR_SIM_PROGRESS", "per-point progress lines on stderr"),
+    ("ATR_LOG", "diagnostic verbosity (read by the atr-telemetry logger)"),
+    ("ATR_RESULTS_DIR", "where figure JSON and the default cache/journal dirs land"),
+    ("ATR_AUDIT", "cycle-level rename/release invariant auditor"),
+    ("ATR_TELEMETRY", "observer level: off, stats or trace"),
+    ("ATR_TELEMETRY_OUT", "append telemetry JSONL to this file instead of stdout"),
+    ("ATR_TELEMETRY_SERIES", "occupancy time-series sampling interval in cycles"),
+    ("ATR_TRACE_CAP", "per-uop pipeline-trace ring capacity"),
+    ("ATR_TRACE_CACHE", "on-disk functional trace cache"),
+    ("ATR_TRACE_FF", "fast-forward trace replays to the warmup checkpoint"),
+    ("ATR_RUN_JOURNAL", "completed-point journal for resume"),
+    ("ATR_FAULT_INJECT", "test hook: panic every point whose label contains this"),
+];
+
+/// Default warmup instructions per point (`ATR_SIM_WARMUP`).
+const DEFAULT_WARMUP: u64 = 40_000;
+/// Default measured instructions per point (`ATR_SIM_INSTS`).
+const DEFAULT_MEASURE: u64 = 160_000;
+
+/// The one environment read of the workspace's library code.
+fn raw(name: &str) -> Option<String> {
+    debug_assert!(KNOBS.iter().any(|(knob, _)| *knob == name), "{name} is not listed in KNOBS");
+    std::env::var(name).ok()
+}
+
+/// The measurement budget `(warmup, measure)` from `ATR_SIM_WARMUP` /
+/// `ATR_SIM_INSTS`, defaulting to a quick 40k/160k pass (the paper
+/// simulates 10M-weighted simpoints; scale up for full runs).
+#[must_use]
+pub fn budget() -> (u64, u64) {
+    (
+        parse_count("ATR_SIM_WARMUP", raw("ATR_SIM_WARMUP").as_deref(), DEFAULT_WARMUP),
+        parse_count("ATR_SIM_INSTS", raw("ATR_SIM_INSTS").as_deref(), DEFAULT_MEASURE),
+    )
+}
+
+/// The directory experiment JSON lands in (`ATR_RESULTS_DIR`).
+#[must_use]
+pub fn results_dir() -> PathBuf {
+    parse_results_dir(raw("ATR_RESULTS_DIR").as_deref())
+}
+
+/// Where the executor appends telemetry JSONL (`ATR_TELEMETRY_OUT`;
+/// `None` = stdout). Read when each pass ends rather than at entry,
+/// because a caller may point it at a fresh file between passes.
+#[must_use]
+pub fn telemetry_out() -> Option<PathBuf> {
+    raw("ATR_TELEMETRY_OUT").map(PathBuf::from)
+}
+
+impl Session {
+    /// Resolves every `ATR_*` serving knob from the environment, once,
+    /// at the process entry point. Defined here, next to every other
+    /// environment read; [`Session::default`] reads nothing.
     #[must_use]
-    pub fn golden_cove() -> Self {
-        let (warmup, measure) = budget_from_env();
-        SimConfig { core: CoreConfig::default(), warmup, measure }
+    pub fn from_env() -> Self {
+        let results = results_dir();
+        Session {
+            threads: parse_threads(raw("ATR_SIM_THREADS").as_deref()),
+            progress: parse_progress(raw("ATR_SIM_PROGRESS").as_deref()),
+            audit: parse_switch(raw("ATR_AUDIT").as_deref()),
+            telemetry: parse_telemetry(
+                raw("ATR_TELEMETRY").as_deref(),
+                raw("ATR_TRACE_CAP").as_deref(),
+                raw("ATR_TELEMETRY_SERIES").as_deref(),
+            ),
+            trace_cache: parse_dir(raw("ATR_TRACE_CACHE").as_deref(), &results, "trace-cache"),
+            trace_ff: parse_switch(raw("ATR_TRACE_FF").as_deref()),
+            journal: parse_dir(raw("ATR_RUN_JOURNAL").as_deref(), &results, "run-journal"),
+            retries: DEFAULT_RETRIES,
+            fault_injection: parse_fault_injection(raw("ATR_FAULT_INJECT").as_deref()),
+        }
     }
 }
 
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig::golden_cove()
-    }
-}
-
-/// Reads the measurement budget from `ATR_SIM_WARMUP` / `ATR_SIM_INSTS`,
-/// defaulting to a quick 40k/160k pass (the paper simulates 10M-weighted
-/// simpoints; scale up for full runs).
-///
-/// A malformed value is *not* silently swallowed: it falls back to the
-/// default with a one-line warning on stderr, so a typo in a sweep
-/// script cannot quietly produce default-budget numbers.
+/// Parses an instruction count. A malformed value is *not* silently
+/// swallowed: it falls back to `default` with a one-line warning, so a
+/// typo in a sweep script cannot quietly produce default-budget numbers.
 #[must_use]
-pub fn budget_from_env() -> (u64, u64) {
-    (env_u64("ATR_SIM_WARMUP", 40_000), env_u64("ATR_SIM_INSTS", 160_000))
-}
-
-/// Reads the `ATR_AUDIT` switch: any value other than unset, empty, or
-/// `0` attaches the cycle-level [`atr_core::audit::RenameAuditor`] to
-/// every run. CI uses this for an audited tiny-budget pass; it changes
-/// no simulation result, only adds checking (and cost), so it is
-/// deliberately *not* part of the run-matrix memoization key.
-#[must_use]
-pub fn audit_from_env() -> bool {
-    std::env::var("ATR_AUDIT").is_ok_and(|v| !v.trim().is_empty() && v.trim() != "0")
-}
-
-/// Reads the telemetry (observer) configuration from `ATR_TELEMETRY`
-/// plus `ATR_TRACE_CAP` / `ATR_TELEMETRY_SERIES`. Telemetry is pure
-/// observation — flipping it never changes a simulated result — so,
-/// like [`audit_from_env`], it is deliberately *not* part of the
-/// run-matrix memoization key.
-#[must_use]
-pub fn telemetry_from_env() -> atr_telemetry::TelemetryConfig {
-    atr_telemetry::TelemetryConfig::from_env()
-}
-
-/// Reads the trace-cache location from `ATR_TRACE_CACHE`: unset, empty,
-/// or `0` disables trace capture/replay (every point runs a live
-/// Oracle); `1` selects the default `trace-cache/` directory under the
-/// results dir (itself `ATR_RESULTS_DIR`-relocatable); any other value
-/// is an explicit cache directory.
-#[must_use]
-pub fn trace_cache_from_env() -> Option<std::path::PathBuf> {
-    let raw = std::env::var("ATR_TRACE_CACHE").ok()?;
-    let raw = raw.trim();
-    match raw {
-        "" | "0" => None,
-        "1" => Some(crate::report::results_dir().join("trace-cache")),
-        dir => Some(std::path::PathBuf::from(dir)),
-    }
-}
-
-/// Reads the `ATR_TRACE_FF` switch: any value other than unset, empty,
-/// or `0` makes trace replay fast-forward to the checkpoint frame at or
-/// below the warmup target instead of streaming the whole warmup
-/// through the pipeline. Off by default because skipping detailed
-/// warmup perturbs timing (structures start cold at the checkpoint) —
-/// results stay architecturally identical but are no longer
-/// cycle-comparable with live runs.
-#[must_use]
-pub fn trace_ff_from_env() -> bool {
-    std::env::var("ATR_TRACE_FF").is_ok_and(|v| !v.trim().is_empty() && v.trim() != "0")
-}
-
-/// Reads the `ATR_SIM_PROGRESS` switch: per-point progress lines are on
-/// unless the variable is set to `0`.
-#[must_use]
-pub fn progress_from_env() -> bool {
-    std::env::var("ATR_SIM_PROGRESS").map_or(true, |v| v != "0")
-}
-
-/// Reads the run-journal location from `ATR_RUN_JOURNAL`: unset, empty,
-/// or `0` disables journaling; `1` selects the default `run-journal/`
-/// directory under the results dir (itself `ATR_RESULTS_DIR`-
-/// relocatable); any other value is an explicit journal directory.
-/// Like the trace cache, the journal is a serving layer — flipping it
-/// never changes a simulated result — so it is deliberately *not* part
-/// of the run-matrix memoization key.
-#[must_use]
-pub fn journal_from_env() -> Option<std::path::PathBuf> {
-    let raw = std::env::var("ATR_RUN_JOURNAL").ok()?;
-    let raw = raw.trim();
-    match raw {
-        "" | "0" => None,
-        "1" => Some(crate::report::results_dir().join("run-journal")),
-        dir => Some(std::path::PathBuf::from(dir)),
-    }
-}
-
-/// Reads the `ATR_FAULT_INJECT` chaos hook: a non-empty value makes
-/// every point whose label contains it panic inside the worker. Only
-/// the CI interrupt-resume gate and the panic-isolation tests set this.
-#[must_use]
-pub fn fault_injection_from_env() -> Option<String> {
-    let raw = std::env::var("ATR_FAULT_INJECT").ok()?;
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        None
-    } else {
-        Some(trimmed.to_owned())
-    }
-}
-
-fn env_u64(var: &str, default: u64) -> u64 {
-    let Ok(raw) = std::env::var(var) else {
+fn parse_count(name: &str, raw: Option<&str>, default: u64) -> u64 {
+    let Some(raw) = raw else {
         return default;
     };
     let trimmed = raw.trim();
@@ -147,11 +131,114 @@ fn env_u64(var: &str, default: u64) -> u64 {
                 "expected an unsigned instruction count"
             };
             atr_telemetry::warn!(
-                "ignoring malformed {var}={raw:?} ({why}); using default {default}"
+                "ignoring malformed {name}={raw:?} ({why}); using default {default}"
             );
             default
         }
     }
+}
+
+/// Parses `ATR_SIM_THREADS`: a positive count, otherwise (unset or
+/// malformed, the latter with a warning) the machine's parallelism.
+#[must_use]
+fn parse_threads(raw: Option<&str>) -> usize {
+    if let Some(raw) = raw {
+        match raw.trim().parse::<usize>() {
+            Ok(n) if n > 0 => return n,
+            _ => atr_telemetry::warn!(
+                "ignoring malformed ATR_SIM_THREADS={raw:?} (expected a positive count)"
+            ),
+        }
+    }
+    crate::executor::thread_count_default()
+}
+
+/// Parses `ATR_SIM_PROGRESS`: progress lines are on unless it is `0`.
+#[must_use]
+fn parse_progress(raw: Option<&str>) -> bool {
+    raw != Some("0")
+}
+
+/// Parses an on/off switch (`ATR_AUDIT`, `ATR_TRACE_FF`): any value
+/// other than unset, empty or `0` turns it on.
+#[must_use]
+fn parse_switch(raw: Option<&str>) -> bool {
+    raw.is_some_and(|v| !v.trim().is_empty() && v.trim() != "0")
+}
+
+/// Parses `ATR_RESULTS_DIR`: the given directory, otherwise
+/// `<workspace root>/results`, so every entry point writes to the same
+/// place no matter which directory it is launched from.
+#[must_use]
+fn parse_results_dir(raw: Option<&str>) -> PathBuf {
+    if let Some(dir) = raw {
+        return PathBuf::from(dir);
+    }
+    // crates/sim/ -> workspace root, resolved at compile time.
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crate dir has a workspace root")
+        .join("results")
+}
+
+/// Parses a directory knob (`ATR_TRACE_CACHE`, `ATR_RUN_JOURNAL`):
+/// unset, empty or `0` is off; `1` selects `<results>/<default_name>`;
+/// any other value is an explicit directory.
+#[must_use]
+fn parse_dir(raw: Option<&str>, results: &Path, default_name: &str) -> Option<PathBuf> {
+    match raw?.trim() {
+        "" | "0" => None,
+        "1" => Some(results.join(default_name)),
+        dir => Some(PathBuf::from(dir)),
+    }
+}
+
+/// Parses `ATR_FAULT_INJECT`: a non-empty needle, else off.
+#[must_use]
+fn parse_fault_injection(raw: Option<&str>) -> Option<String> {
+    let trimmed = raw?.trim();
+    (!trimmed.is_empty()).then(|| trimmed.to_owned())
+}
+
+/// Parses the observer configuration from `ATR_TELEMETRY`
+/// (off|stats|trace), `ATR_TRACE_CAP` and `ATR_TELEMETRY_SERIES`
+/// (sampling interval in cycles). Malformed values warn and fall back
+/// to [`TelemetryConfig::default`]'s fields.
+#[must_use]
+fn parse_telemetry(
+    level: Option<&str>,
+    trace_cap: Option<&str>,
+    series: Option<&str>,
+) -> TelemetryConfig {
+    let mut cfg = TelemetryConfig::default();
+    if let Some(raw) = level {
+        match TelemetryLevel::parse(raw) {
+            Some(level) => cfg.level = level,
+            None => atr_telemetry::warn!(
+                "ignoring malformed ATR_TELEMETRY={raw:?} \
+                 (expected off|stats|trace); telemetry stays off"
+            ),
+        }
+    }
+    if let Some(raw) = trace_cap {
+        match raw.trim().parse::<usize>() {
+            Ok(cap) => cfg.trace_cap = cap,
+            Err(_) => atr_telemetry::warn!(
+                "ignoring malformed ATR_TRACE_CAP={raw:?}; using {}",
+                cfg.trace_cap
+            ),
+        }
+    }
+    if let Some(raw) = series {
+        match raw.trim().parse::<u64>() {
+            Ok(interval) => cfg.series_interval = interval,
+            Err(_) => {
+                atr_telemetry::warn!("ignoring malformed ATR_TELEMETRY_SERIES={raw:?}; series off");
+            }
+        }
+    }
+    cfg
 }
 
 /// Renders the Table 1 parameter table from the live configuration, so
@@ -229,82 +316,103 @@ mod tests {
     }
 
     #[test]
-    fn golden_cove_uses_env_budget() {
-        let cfg = SimConfig::golden_cove();
-        assert!(cfg.warmup > 0 && cfg.measure > 0);
-    }
-
-    #[test]
     fn budget_env_parsing_accepts_valid_and_rejects_malformed() {
-        // All env manipulation lives in this one test: parallel tests
-        // never observe the transient state of these two variables.
-        std::env::set_var("ATR_SIM_WARMUP", "1234");
-        std::env::set_var("ATR_SIM_INSTS", " 5678 ");
-        assert_eq!(budget_from_env(), (1234, 5678));
-
-        std::env::set_var("ATR_SIM_WARMUP", "not-a-number");
-        std::env::set_var("ATR_SIM_INSTS", "-5");
+        assert_eq!(parse_count("ATR_SIM_WARMUP", None, 7), 7);
+        assert_eq!(parse_count("ATR_SIM_WARMUP", Some("1234"), 7), 1234);
+        assert_eq!(parse_count("ATR_SIM_INSTS", Some(" 5678 "), 7), 5678);
         // Malformed and negative values warn on stderr and fall back.
-        assert_eq!(budget_from_env(), (40_000, 160_000));
-
+        assert_eq!(parse_count("ATR_SIM_WARMUP", Some("not-a-number"), 7), 7);
+        assert_eq!(parse_count("ATR_SIM_INSTS", Some("-5"), 7), 7);
         // A value past u64::MAX is an overflow, not a silent wrap.
-        std::env::set_var("ATR_SIM_WARMUP", "99999999999999999999999999");
-        std::env::set_var("ATR_SIM_INSTS", "+12");
-        assert_eq!(budget_from_env(), (40_000, 12), "leading + is valid u64 syntax");
-
-        std::env::remove_var("ATR_SIM_WARMUP");
-        std::env::remove_var("ATR_SIM_INSTS");
-        assert_eq!(budget_from_env(), (40_000, 160_000));
+        assert_eq!(parse_count("ATR_SIM_WARMUP", Some("99999999999999999999999999"), 7), 7);
+        assert_eq!(parse_count("ATR_SIM_INSTS", Some("+12"), 7), 12, "leading + is valid u64");
     }
 
     #[test]
     fn trace_env_knobs_parse() {
-        // All ATR_TRACE_* manipulation lives in this one test (parallel
-        // tests must not observe transient values).
-        std::env::remove_var("ATR_TRACE_CACHE");
-        std::env::remove_var("ATR_TRACE_FF");
-        assert_eq!(trace_cache_from_env(), None);
-        assert!(!trace_ff_from_env());
+        let results = Path::new("/tmp/results");
+        assert_eq!(parse_dir(None, results, "trace-cache"), None);
+        assert_eq!(parse_dir(Some("0"), results, "trace-cache"), None);
+        assert_eq!(
+            parse_dir(Some("1"), results, "trace-cache"),
+            Some(PathBuf::from("/tmp/results/trace-cache"))
+        );
+        assert_eq!(
+            parse_dir(Some("/tmp/custom-traces"), results, "trace-cache"),
+            Some(PathBuf::from("/tmp/custom-traces"))
+        );
 
-        std::env::set_var("ATR_TRACE_CACHE", "0");
-        assert_eq!(trace_cache_from_env(), None);
-        std::env::set_var("ATR_TRACE_CACHE", "1");
-        let default_dir = trace_cache_from_env().expect("1 selects the default dir");
-        assert!(default_dir.ends_with("trace-cache"));
-        std::env::set_var("ATR_TRACE_CACHE", "/tmp/custom-traces");
-        assert_eq!(trace_cache_from_env(), Some(std::path::PathBuf::from("/tmp/custom-traces")));
-        std::env::remove_var("ATR_TRACE_CACHE");
-
-        std::env::set_var("ATR_TRACE_FF", "1");
-        assert!(trace_ff_from_env());
-        std::env::set_var("ATR_TRACE_FF", "0");
-        assert!(!trace_ff_from_env());
-        std::env::remove_var("ATR_TRACE_FF");
+        assert!(!parse_switch(None));
+        assert!(!parse_switch(Some("")));
+        assert!(!parse_switch(Some(" 0 ")));
+        assert!(parse_switch(Some("1")));
+        assert!(parse_switch(Some("yes")));
     }
 
     #[test]
     fn journal_and_fault_env_knobs_parse() {
-        // All ATR_RUN_JOURNAL / ATR_FAULT_INJECT manipulation lives in
-        // this one test (parallel tests must not observe transient
-        // values).
-        std::env::remove_var("ATR_RUN_JOURNAL");
-        std::env::remove_var("ATR_FAULT_INJECT");
-        assert_eq!(journal_from_env(), None);
-        assert_eq!(fault_injection_from_env(), None);
+        let results = Path::new("/tmp/results");
+        assert_eq!(parse_dir(Some(" "), results, "run-journal"), None);
+        assert_eq!(
+            parse_dir(Some("1"), results, "run-journal"),
+            Some(PathBuf::from("/tmp/results/run-journal"))
+        );
+        assert_eq!(
+            parse_dir(Some("/tmp/custom-journal"), results, "run-journal"),
+            Some(PathBuf::from("/tmp/custom-journal"))
+        );
 
-        std::env::set_var("ATR_RUN_JOURNAL", "0");
-        assert_eq!(journal_from_env(), None);
-        std::env::set_var("ATR_RUN_JOURNAL", "1");
-        let default_dir = journal_from_env().expect("1 selects the default dir");
-        assert!(default_dir.ends_with("run-journal"));
-        std::env::set_var("ATR_RUN_JOURNAL", "/tmp/custom-journal");
-        assert_eq!(journal_from_env(), Some(std::path::PathBuf::from("/tmp/custom-journal")));
-        std::env::remove_var("ATR_RUN_JOURNAL");
+        assert_eq!(parse_fault_injection(None), None);
+        assert_eq!(parse_fault_injection(Some("  ")), None, "blank needle is off");
+        assert_eq!(parse_fault_injection(Some("505.mcf_r")).as_deref(), Some("505.mcf_r"));
+    }
 
-        std::env::set_var("ATR_FAULT_INJECT", "  ");
-        assert_eq!(fault_injection_from_env(), None, "blank needle is off");
-        std::env::set_var("ATR_FAULT_INJECT", "505.mcf_r");
-        assert_eq!(fault_injection_from_env().as_deref(), Some("505.mcf_r"));
-        std::env::remove_var("ATR_FAULT_INJECT");
+    #[test]
+    fn threads_progress_results_and_telemetry_parse() {
+        assert_eq!(parse_threads(Some("3")), 3);
+        let machine = crate::executor::thread_count_default();
+        assert_eq!(parse_threads(None), machine);
+        assert_eq!(parse_threads(Some("0")), machine, "zero workers is malformed");
+        assert_eq!(parse_threads(Some("many")), machine);
+
+        assert!(parse_progress(None));
+        assert!(parse_progress(Some("1")));
+        assert!(!parse_progress(Some("0")));
+
+        assert_eq!(parse_results_dir(Some("/tmp/out")), PathBuf::from("/tmp/out"));
+        let fallback = parse_results_dir(None);
+        assert!(fallback.ends_with("results"));
+        assert!(fallback.parent().unwrap().join("Cargo.toml").exists());
+
+        assert_eq!(parse_telemetry(None, None, None), TelemetryConfig::default());
+        let t = parse_telemetry(Some("stats"), Some("128"), Some("1000"));
+        assert_eq!(t.level, TelemetryLevel::Stats);
+        assert_eq!((t.trace_cap, t.series_interval), (128, 1000));
+        // Malformed values warn and keep the defaults.
+        assert_eq!(
+            parse_telemetry(Some("loud"), Some("big"), Some("often")),
+            TelemetryConfig::default()
+        );
+    }
+
+    /// README's "Environment variable reference" table and [`KNOBS`]
+    /// name the same variables.
+    #[test]
+    fn readme_env_table_matches_knobs() {
+        let readme = include_str!("../../../README.md");
+        let table = readme
+            .split("### Environment variable reference")
+            .nth(1)
+            .expect("README has an environment variable reference");
+        let documented: std::collections::BTreeSet<&str> = table
+            .lines()
+            .skip_while(|l| !l.starts_with('|'))
+            .take_while(|l| l.starts_with('|'))
+            .filter_map(|l| l.strip_prefix("| `")?.split('`').next())
+            .filter(|name| name.starts_with("ATR_"))
+            .collect();
+        let knobs: std::collections::BTreeSet<&str> = KNOBS.iter().map(|(n, _)| *n).collect();
+        assert_eq!(documented, knobs, "README table and config::KNOBS disagree");
+        assert_eq!(knobs.len(), KNOBS.len(), "a knob is listed twice");
     }
 }

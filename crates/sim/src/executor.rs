@@ -5,7 +5,7 @@
 //! input slice, which keeps the output bit-identical to a serial pass.
 //! Uses only `std::thread::scope` — no external dependencies.
 //!
-//! The primary entry point is [`execute_session`]: every runtime knob
+//! The entry point is [`execute_session`]: every runtime knob
 //! comes from one resolved [`Session`] (see [`crate::session`]), and
 //! each point yields a [`PointOutcome`] instead of a bare result:
 //!
@@ -21,11 +21,6 @@
 //! * a **straggler supervisor** warns when a point exceeds a
 //!   budget-scaled soft deadline (it never kills the point — the
 //!   simulator is deterministic, slow points are just slow).
-//!
-//! [`execute`], [`execute_with`], and [`execute_with_cache`] remain as
-//! thin shims that resolve a [`Session`] (from the environment) and
-//! panic on the first failure — the pre-fault-tolerance contract their
-//! callers still expect.
 
 use crate::journal::RunJournal;
 use crate::matrix::SimPoint;
@@ -73,21 +68,6 @@ pub fn thread_count_default() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// The worker count: `ATR_SIM_THREADS` if set and valid, otherwise the
-/// machine's available parallelism.
-#[must_use]
-pub fn thread_count() -> usize {
-    if let Ok(raw) = std::env::var("ATR_SIM_THREADS") {
-        match raw.trim().parse::<usize>() {
-            Ok(n) if n > 0 => return n,
-            _ => atr_telemetry::warn!(
-                "ignoring malformed ATR_SIM_THREADS={raw:?} (expected a positive count)"
-            ),
-        }
-    }
-    thread_count_default()
-}
-
 /// Why a point produced no result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureKind {
@@ -98,7 +78,7 @@ pub enum FailureKind {
 }
 
 /// A structured per-point failure: the pass continues, the caller
-/// decides (the matrix records it, reports degrade, shims panic).
+/// decides (the matrix records it, reports degrade).
 #[derive(Debug, Clone)]
 pub struct PointFailure {
     /// [`SimPoint::label`] of the failed point.
@@ -131,8 +111,7 @@ pub type PointOutcome = Result<RunResult, PointFailure>;
 
 /// Executes every point, in parallel, against the base core config,
 /// with every runtime knob taken from `session` (the environment is
-/// *not* consulted — resolve a session first with
-/// [`Session::from_env`]). The outcome vector is index-aligned with
+/// *not* consulted). The outcome vector is index-aligned with
 /// `points`; equal results are bit-identical no matter the thread
 /// count, journal state, or telemetry level.
 #[must_use]
@@ -366,71 +345,6 @@ fn straggler_deadline(point: &SimPoint) -> Duration {
         )
 }
 
-/// Executes every point against the environment-resolved session,
-/// panicking on any failure. The result vector is index-aligned with
-/// `points`.
-///
-/// # Panics
-///
-/// Panics on the first failed point (unknown profile, exhausted panic
-/// retries). Use [`execute_session`] for structured failures.
-#[must_use]
-pub fn execute(core: &CoreConfig, points: &[SimPoint]) -> Vec<RunResult> {
-    expect_all(execute_session(&Session::from_env(), core, points))
-}
-
-/// [`execute`] with an explicit worker count (1 = serial). Exposed so
-/// the determinism tests can compare serial and parallel passes. The
-/// trace cache (and fast-forward switch) come from the environment;
-/// [`execute_with_cache`] takes them explicitly.
-///
-/// # Panics
-///
-/// Panics on the first failed point.
-#[must_use]
-pub fn execute_with(core: &CoreConfig, points: &[SimPoint], threads: usize) -> Vec<RunResult> {
-    expect_all(execute_session(&Session::from_env().with_threads(threads), core, points))
-}
-
-/// [`execute_with`] with an explicit trace-cache directory and
-/// fast-forward switch — the cache knobs are *not* read from the
-/// environment, so tests exercising the cache cannot race parallel
-/// tests on env state.
-///
-/// When `cache_dir` is set, each distinct program among `points` is
-/// captured once (sized to the largest `warmup + measure` of its points
-/// plus in-flight slack) before the workers spawn, and every point
-/// replays the capture instead of re-generating the stream. Replay is
-/// bit-identical to live generation; any cache problem (unwritable
-/// directory, corrupt file) degrades that program to live generation
-/// with a warning rather than failing the pass.
-///
-/// # Panics
-///
-/// Panics on the first failed point.
-#[must_use]
-pub fn execute_with_cache(
-    core: &CoreConfig,
-    points: &[SimPoint],
-    threads: usize,
-    cache_dir: Option<&Path>,
-    fast_forward: bool,
-) -> Vec<RunResult> {
-    let mut session = Session::from_env().with_threads(threads).with_trace_ff(fast_forward);
-    session.trace_cache = cache_dir.map(Path::to_path_buf);
-    expect_all(execute_session(&session, core, points))
-}
-
-fn expect_all(outcomes: Vec<PointOutcome>) -> Vec<RunResult> {
-    outcomes
-        .into_iter()
-        .map(|outcome| match outcome {
-            Ok(result) => result,
-            Err(failure) => panic!("{failure}"),
-        })
-        .collect()
-}
-
 /// Captures (or finds cached) one trace per distinct program among
 /// `points`, sized for the largest budget any of its points needs.
 /// Distinct programs are captured concurrently on a scoped pool — on a
@@ -620,22 +534,33 @@ mod tests {
     use super::*;
     use atr_core::ReleaseScheme;
 
+    /// Every point's result under `session`, panicking on a failure.
+    fn results(session: &Session, points: &[SimPoint]) -> Vec<RunResult> {
+        execute_session(session, &CoreConfig::default(), points)
+            .into_iter()
+            .map(Result::unwrap)
+            .collect()
+    }
+
+    fn serial() -> Session {
+        Session::default().quiet().with_threads(1)
+    }
+
     #[test]
     fn results_align_with_input_order() {
         let points = vec![
             SimPoint::new("505.mcf_r", ReleaseScheme::Baseline, 64, 50, 200),
             SimPoint::new("548.exchange2_r", ReleaseScheme::Baseline, 224, 50, 200),
         ];
-        let serial = execute_with(&CoreConfig::default(), &points, 1);
-        assert_eq!(serial.len(), 2);
+        let r = results(&serial(), &points);
+        assert_eq!(r.len(), 2);
         // exchange2 at 224 registers must comfortably out-run mcf at 64:
         // order inversion here would mean results got shuffled.
-        assert!(serial[1].ipc > serial[0].ipc);
+        assert!(r[1].ipc > r[0].ipc);
     }
 
     #[test]
     fn thread_count_is_positive() {
-        assert!(thread_count() >= 1);
         assert!(thread_count_default() >= 1);
     }
 
@@ -647,8 +572,7 @@ mod tests {
             SimPoint::new("505.mcf_r", ReleaseScheme::Baseline, 64, 50, 200),
             SimPoint::new("999.not_a_profile", ReleaseScheme::Baseline, 64, 50, 200),
         ];
-        let session = Session::default().quiet().with_threads(1);
-        let outcomes = execute_session(&session, &CoreConfig::default(), &points);
+        let outcomes = execute_session(&serial(), &CoreConfig::default(), &points);
         assert!(outcomes[0].is_ok(), "the healthy sibling must survive");
         let failure = outcomes[1].as_ref().expect_err("unknown profile must fail");
         assert_eq!(failure.kind, FailureKind::UnknownProfile);
@@ -670,9 +594,8 @@ mod tests {
             SimPoint::new("505.mcf_r", ReleaseScheme::Atr { redefine_delay: 0 }, 64, 600, 1_500),
             SimPoint::new("505.mcf_r", ReleaseScheme::Baseline, 224, 300, 1_000),
         ];
-        let core = CoreConfig::default();
-        let live = execute_with_cache(&core, &points, 1, None, false);
-        let cached = execute_with_cache(&core, &points, 2, Some(&dir), false);
+        let live = results(&serial(), &points);
+        let cached = results(&serial().with_threads(2).with_trace_cache(&dir), &points);
         assert_eq!(
             std::fs::read_dir(&dir).unwrap().count(),
             1,
@@ -688,7 +611,7 @@ mod tests {
         // Fast-forward skips detailed warmup: retired count per window
         // still matches, and the measured stream is the same
         // architectural instructions (cycles legitimately differ).
-        let ff = execute_with_cache(&core, &points, 1, Some(&dir), true);
+        let ff = results(&serial().with_trace_cache(&dir).with_trace_ff(true), &points);
         for (i, (a, b)) in live.iter().zip(&ff).enumerate() {
             let lived = a.stats.retired;
             let ffd = b.stats.retired;
@@ -700,21 +623,17 @@ mod tests {
 
     /// Event collection is observation-only: the lifetime log records
     /// what the renamer does but feeds nothing back into scheduling, so
-    /// timing is bit-identical with and without it. (`stats.markings`
-    /// may differ — the log enables region marking under schemes that
-    /// would otherwise skip it — but no timed quantity does.) This is
-    /// what lets `RunMatrix::ensure` serve a non-events point from its
-    /// `.with_events()` twin.
+    /// the whole `CoreStats` block is bit-identical with and without it.
+    /// This is what lets `RunMatrix::ensure_with` serve a non-events
+    /// point from its `.with_events()` twin.
     #[test]
     fn event_collection_does_not_change_timing() {
         for scheme in [ReleaseScheme::Baseline, ReleaseScheme::Atr { redefine_delay: 0 }] {
             let plain = SimPoint::new("505.mcf_r", scheme, 64, 50, 200);
             let events = plain.clone().with_events();
-            let r = execute_with(&CoreConfig::default(), &[plain, events], 1);
+            let r = results(&serial(), &[plain, events]);
             assert_eq!(r[0].ipc.to_bits(), r[1].ipc.to_bits());
-            assert_eq!(r[0].stats.cycles, r[1].stats.cycles);
-            assert_eq!(r[0].stats.retired, r[1].stats.retired);
-            assert_eq!(r[0].stats.flushes, r[1].stats.flushes);
+            assert_eq!(format!("{:?}", r[0].stats), format!("{:?}", r[1].stats));
             assert_eq!(r[0].avg_int_occupancy.to_bits(), r[1].avg_int_occupancy.to_bits());
             assert_eq!(r[0].avg_fp_occupancy.to_bits(), r[1].avg_fp_occupancy.to_bits());
             assert!(r[0].lifetimes.is_empty() && !r[1].lifetimes.is_empty());

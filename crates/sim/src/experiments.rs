@@ -3,17 +3,18 @@
 //!
 //! Every figure is expressed as a pure `points → assemble` pair:
 //! `figNN_points` declares the exact [`SimPoint`]s the figure needs and
-//! `figNN_assemble` folds cached results into rows. The one-shot
-//! `figNN(sim)` wrappers run a private [`RunMatrix`]; a shared matrix
-//! (see `all_experiments`) deduplicates across figures — fig01, fig10,
-//! fig11, and fig15 all request overlapping `Baseline` points that then
-//! simulate exactly once.
+//! `figNN_assemble` folds the results of an ensured [`RunMatrix`] into
+//! rows. A caller ensures the points it wants on one matrix
+//! ([`RunMatrix::ensure_with`]) and then assembles; a shared matrix
+//! deduplicates across figures — fig01, fig10, fig11, and fig15 all
+//! request overlapping `Baseline` points that then simulate exactly
+//! once.
 //!
-//! Every function returns plain serializable rows; the `atr-bench`
-//! binaries print them (and `report::render_table` formats them as
+//! Every assembly returns plain serializable rows; the `all_experiments`
+//! driver prints them (and `report::render_table` formats them as
 //! aligned tables). Budgets come from the [`SimConfig`] argument, which
-//! `SimConfig::golden_cove()` populates from the `ATR_SIM_WARMUP` /
-//! `ATR_SIM_INSTS` environment variables.
+//! the driver fills from `ATR_SIM_WARMUP` / `ATR_SIM_INSTS` through
+//! [`crate::config::budget`].
 
 use crate::config::SimConfig;
 use crate::matrix::{CoreTweak, RunMatrix, SimPoint};
@@ -59,13 +60,6 @@ fn reg_class_of(p: &SpecProfile) -> atr_isa::RegClass {
     }
 }
 
-/// Runs one figure's `points → assemble` pair on a private matrix.
-fn solo<R>(sim: &SimConfig, points: Vec<SimPoint>, assemble: impl FnOnce(&RunMatrix) -> R) -> R {
-    let mut matrix = RunMatrix::new();
-    matrix.ensure(&sim.core, &points);
-    assemble(&matrix)
-}
-
 // ------------------------------------------------------------- Fig 1
 
 /// One point of Fig 1: baseline IPC at a given RF size, normalized to
@@ -94,7 +88,8 @@ pub fn fig01_points(sim: &SimConfig) -> Vec<SimPoint> {
     points
 }
 
-/// Assembles Fig 1 rows from an ensured matrix. A failed point drops
+/// Fig 1: normalized baseline IPC across register file sizes
+/// (SPEC2017int), assembled from an ensured matrix. A failed point drops
 /// its rows (the normalization reference drops the whole benchmark);
 /// the pass-level coverage marker reports the loss.
 #[must_use]
@@ -122,13 +117,6 @@ pub fn fig01_assemble(sim: &SimConfig, matrix: &RunMatrix) -> Vec<Fig01Row> {
         });
     }
     rows
-}
-
-/// Fig 1: normalized baseline IPC across register file sizes
-/// (SPEC2017int).
-#[must_use]
-pub fn fig01(sim: &SimConfig) -> Vec<Fig01Row> {
-    solo(sim, fig01_points(sim), |m| fig01_assemble(sim, m))
 }
 
 /// Average of Fig 1 rows at one RF size.
@@ -161,7 +149,9 @@ pub fn fig04_points(sim: &SimConfig) -> Vec<SimPoint> {
     all_profiles().iter().map(|p| events_point(sim, p.name)).collect()
 }
 
-/// Assembles Fig 4 rows from an ensured matrix.
+/// Fig 4: register lifecycle cycle distribution under the baseline
+/// scheme, per benchmark plus suite averages, assembled from an ensured
+/// matrix.
 #[must_use]
 pub fn fig04_assemble(sim: &SimConfig, matrix: &RunMatrix) -> Vec<Fig04Row> {
     let mut rows = Vec::new();
@@ -193,13 +183,6 @@ pub fn fig04_assemble(sim: &SimConfig, matrix: &RunMatrix) -> Vec<Fig04Row> {
     rows
 }
 
-/// Fig 4: register lifecycle cycle distribution under the baseline
-/// scheme, per benchmark plus suite averages.
-#[must_use]
-pub fn fig04(sim: &SimConfig) -> Vec<Fig04Row> {
-    solo(sim, fig04_points(sim), |m| fig04_assemble(sim, m))
-}
-
 // ------------------------------------------------------------- Fig 6
 
 /// One benchmark's region ratios (Fig 6).
@@ -224,7 +207,8 @@ pub fn fig06_points(sim: &SimConfig) -> Vec<SimPoint> {
     fig04_points(sim)
 }
 
-/// Assembles Fig 6 rows from an ensured matrix.
+/// Fig 6: atomic register ratios per benchmark plus suite averages,
+/// assembled from an ensured matrix.
 #[must_use]
 pub fn fig06_assemble(sim: &SimConfig, matrix: &RunMatrix) -> Vec<Fig06Row> {
     let mut rows = Vec::new();
@@ -253,12 +237,6 @@ pub fn fig06_assemble(sim: &SimConfig, matrix: &RunMatrix) -> Vec<Fig06Row> {
         });
     }
     rows
-}
-
-/// Fig 6: atomic register ratios per benchmark plus suite averages.
-#[must_use]
-pub fn fig06(sim: &SimConfig) -> Vec<Fig06Row> {
-    solo(sim, fig06_points(sim), |m| fig06_assemble(sim, m))
 }
 
 // ------------------------------------------------------------ Fig 10
@@ -294,7 +272,9 @@ pub fn fig10_points(sim: &SimConfig, rf_sizes: &[usize]) -> Vec<SimPoint> {
     points
 }
 
-/// Assembles Fig 10 rows from an ensured matrix.
+/// Fig 10: speedup of each early-release scheme over the baseline at
+/// `rf_sizes` physical registers (the paper: 64 and 224), assembled
+/// from an ensured matrix.
 #[must_use]
 pub fn fig10_assemble(sim: &SimConfig, matrix: &RunMatrix, rf_sizes: &[usize]) -> Vec<Fig10Row> {
     let mut rows = Vec::new();
@@ -342,19 +322,6 @@ pub fn fig10_assemble(sim: &SimConfig, matrix: &RunMatrix, rf_sizes: &[usize]) -
     rows
 }
 
-/// Fig 10: speedup of each early-release scheme over the baseline at 64
-/// and 224 physical registers.
-#[must_use]
-pub fn fig10(sim: &SimConfig) -> Vec<Fig10Row> {
-    fig10_at(sim, &[64, 224])
-}
-
-/// Fig 10 at caller-chosen RF sizes.
-#[must_use]
-pub fn fig10_at(sim: &SimConfig, rf_sizes: &[usize]) -> Vec<Fig10Row> {
-    solo(sim, fig10_points(sim, rf_sizes), |m| fig10_assemble(sim, m, rf_sizes))
-}
-
 // ------------------------------------------------------------ Fig 11
 
 /// One suite-average point of Fig 11.
@@ -382,7 +349,8 @@ pub fn fig11_points(sim: &SimConfig) -> Vec<SimPoint> {
     points
 }
 
-/// Assembles Fig 11 rows from an ensured matrix.
+/// Fig 11: atomic-scheme speedup over the baseline across RF sizes,
+/// assembled from an ensured matrix.
 #[must_use]
 pub fn fig11_assemble(sim: &SimConfig, matrix: &RunMatrix) -> Vec<Fig11Row> {
     let mut rows = Vec::new();
@@ -408,12 +376,6 @@ pub fn fig11_assemble(sim: &SimConfig, matrix: &RunMatrix) -> Vec<Fig11Row> {
     rows
 }
 
-/// Fig 11: atomic-scheme speedup over the baseline across RF sizes.
-#[must_use]
-pub fn fig11(sim: &SimConfig) -> Vec<Fig11Row> {
-    solo(sim, fig11_points(sim), |m| fig11_assemble(sim, m))
-}
-
 // ------------------------------------------------------------ Fig 12
 
 /// One benchmark's consumer distribution (Fig 12).
@@ -436,7 +398,8 @@ pub fn fig12_points(sim: &SimConfig) -> Vec<SimPoint> {
     fig04_points(sim)
 }
 
-/// Assembles Fig 12 rows from an ensured matrix.
+/// Fig 12: consumers per atomic region, per benchmark, assembled from
+/// an ensured matrix.
 #[must_use]
 pub fn fig12_assemble(sim: &SimConfig, matrix: &RunMatrix) -> Vec<Fig12Row> {
     let mut rows = Vec::new();
@@ -453,12 +416,6 @@ pub fn fig12_assemble(sim: &SimConfig, matrix: &RunMatrix) -> Vec<Fig12Row> {
         });
     }
     rows
-}
-
-/// Fig 12: consumers per atomic region, per benchmark.
-#[must_use]
-pub fn fig12(sim: &SimConfig) -> Vec<Fig12Row> {
-    solo(sim, fig12_points(sim), |m| fig12_assemble(sim, m))
 }
 
 // ------------------------------------------------------------ Fig 13
@@ -492,7 +449,8 @@ pub fn fig13_points(sim: &SimConfig) -> Vec<SimPoint> {
     points
 }
 
-/// Assembles Fig 13 rows from an ensured matrix.
+/// Fig 13: sensitivity of the atomic scheme to pipelining the marking
+/// logic by 0/1/2 cycles, assembled from an ensured matrix.
 #[must_use]
 pub fn fig13_assemble(sim: &SimConfig, matrix: &RunMatrix) -> Vec<Fig13Row> {
     let mut rows = Vec::new();
@@ -517,13 +475,6 @@ pub fn fig13_assemble(sim: &SimConfig, matrix: &RunMatrix) -> Vec<Fig13Row> {
         }
     }
     rows
-}
-
-/// Fig 13: sensitivity of the atomic scheme to pipelining the marking
-/// logic by 0/1/2 cycles.
-#[must_use]
-pub fn fig13(sim: &SimConfig) -> Vec<Fig13Row> {
-    solo(sim, fig13_points(sim), |m| fig13_assemble(sim, m))
 }
 
 // ------------------------------------------------------------ Fig 14
@@ -556,7 +507,8 @@ pub fn fig14_points(sim: &SimConfig) -> Vec<SimPoint> {
     fig04_points(sim)
 }
 
-/// Assembles Fig 14 rows from an ensured matrix.
+/// Fig 14: average cycle gaps within atomic commit regions, assembled
+/// from an ensured matrix.
 #[must_use]
 pub fn fig14_assemble(sim: &SimConfig, matrix: &RunMatrix) -> Vec<Fig14Row> {
     let mut rows = Vec::new();
@@ -574,12 +526,6 @@ pub fn fig14_assemble(sim: &SimConfig, matrix: &RunMatrix) -> Vec<Fig14Row> {
         });
     }
     rows
-}
-
-/// Fig 14: average cycle gaps within atomic commit regions.
-#[must_use]
-pub fn fig14(sim: &SimConfig) -> Vec<Fig14Row> {
-    solo(sim, fig14_points(sim), |m| fig14_assemble(sim, m))
 }
 
 // ------------------------------------------------------------ Fig 15
@@ -614,7 +560,15 @@ pub fn fig15_points(sim: &SimConfig) -> Vec<SimPoint> {
     points
 }
 
-/// Assembles Fig 15 rows from an ensured matrix.
+/// Fig 15: the smallest register file for which each scheme's mean IPC
+/// stays within `tolerance` (paper: 3%) of the 280-register baseline,
+/// assembled from an ensured matrix.
+///
+/// Each scheme is measured once on the fixed [`RF_SWEEP`] grid and the
+/// crossing point is interpolated linearly between grid neighbours
+/// (rounded outward to `step` entries), which bounds the cost at
+/// `4 schemes × 8 sizes × 23 profiles` regardless of where the
+/// crossings fall.
 #[must_use]
 pub fn fig15_assemble(
     sim: &SimConfig,
@@ -673,20 +627,6 @@ pub fn fig15_assemble(
         .collect()
 }
 
-/// Fig 15: the smallest register file for which each scheme's mean IPC
-/// stays within `tolerance` (paper: 3%) of the 280-register baseline.
-///
-/// Measures each scheme once on the fixed [`RF_SWEEP`] grid and
-/// interpolates the crossing point linearly between grid neighbours
-/// (rounded outward to `step` entries), which bounds the cost at
-/// `4 schemes × 8 sizes × 23 profiles` regardless of where the
-/// crossings fall — and the matrix cache means the whole grid is
-/// simulated once, not once per scheme query.
-#[must_use]
-pub fn fig15(sim: &SimConfig, tolerance: f64, step: usize) -> Vec<Fig15Row> {
-    solo(sim, fig15_points(sim), |m| fig15_assemble(sim, m, tolerance, step))
-}
-
 // -------------------------------------------------------- Ablations
 
 /// One ablation data point.
@@ -718,7 +658,9 @@ pub fn ablation_move_elimination_points(sim: &SimConfig) -> Vec<SimPoint> {
     points
 }
 
-/// Assembles the move-elimination ablation from an ensured matrix.
+/// §6 move-elimination ablation: ATR at 64 registers with and without
+/// move elimination (the paper argues they compose synergistically),
+/// assembled from an ensured matrix.
 #[must_use]
 pub fn ablation_move_elimination_assemble(sim: &SimConfig, matrix: &RunMatrix) -> Vec<AblationRow> {
     let run_with = |elim: bool| -> f64 {
@@ -734,13 +676,6 @@ pub fn ablation_move_elimination_assemble(sim: &SimConfig, matrix: &RunMatrix) -
         AblationRow { study: "move-elim".into(), variant: "off".into(), relative_ipc: 1.0 },
         AblationRow { study: "move-elim".into(), variant: "on".into(), relative_ipc: on / off },
     ]
-}
-
-/// §6 move-elimination ablation: ATR at 64 registers with and without
-/// move elimination (the paper argues they compose synergistically).
-#[must_use]
-pub fn ablation_move_elimination(sim: &SimConfig) -> Vec<AblationRow> {
-    solo(sim, ablation_move_elimination_points(sim), |m| ablation_move_elimination_assemble(sim, m))
 }
 
 /// Counter widths the §5.4 ablation sweeps (8 is the reference).
@@ -768,7 +703,9 @@ pub fn ablation_counter_width_points(sim: &SimConfig) -> Vec<SimPoint> {
     points
 }
 
-/// Assembles the counter-width ablation from an ensured matrix.
+/// §5.4 consumer-counter-width ablation: ATR with 2/3/4/8-bit counters
+/// at 64 registers (the paper: 3 bits lose nothing vs infinite),
+/// assembled from an ensured matrix.
 #[must_use]
 pub fn ablation_counter_width_assemble(sim: &SimConfig, matrix: &RunMatrix) -> Vec<AblationRow> {
     let run_width = |width: u32| -> f64 {
@@ -787,13 +724,6 @@ pub fn ablation_counter_width_assemble(sim: &SimConfig, matrix: &RunMatrix) -> V
             relative_ipc: run_width(w) / reference,
         })
         .collect()
-}
-
-/// §5.4 consumer-counter-width ablation: ATR with 2/3/4/8-bit counters
-/// at 64 registers (the paper: 3 bits lose nothing vs infinite).
-#[must_use]
-pub fn ablation_counter_width(sim: &SimConfig) -> Vec<AblationRow> {
-    solo(sim, ablation_counter_width_points(sim), |m| ablation_counter_width_assemble(sim, m))
 }
 
 // ------------------------------------------------- Full-pass support
@@ -821,16 +751,26 @@ pub fn full_pass_points(sim: &SimConfig) -> Vec<SimPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::Session;
     use atr_pipeline::CoreConfig;
 
     fn tiny(warmup: u64, measure: u64) -> SimConfig {
         SimConfig { core: CoreConfig::default(), warmup, measure }
     }
 
+    /// A fresh matrix with `points` ensured under a quiet, env-free
+    /// session.
+    fn ensured(sim: &SimConfig, points: &[SimPoint]) -> RunMatrix {
+        let mut matrix = RunMatrix::new();
+        matrix.ensure_with(&Session::default().quiet(), &sim.core, points);
+        matrix
+    }
+
     #[test]
     fn fig10_rows_cover_schemes_and_sizes() {
         // A tiny budget keeps CI fast; one RF size.
-        let rows = fig10_at(&tiny(1_000, 4_000), &[64]);
+        let sim = tiny(1_000, 4_000);
+        let rows = fig10_assemble(&sim, &ensured(&sim, &fig10_points(&sim, &[64])), &[64]);
         // 23 benchmarks x 3 schemes + 2 averages x 3 schemes.
         assert_eq!(rows.len(), 23 * 3 + 6);
         assert!(
@@ -844,7 +784,8 @@ mod tests {
 
     #[test]
     fn fig15_requires_less_for_early_release() {
-        let rows = fig15(&tiny(500, 2_000), 0.10, 64);
+        let sim = tiny(500, 2_000);
+        let rows = fig15_assemble(&sim, &ensured(&sim, &fig15_points(&sim)), 0.10, 64);
         let get = |label: &str| rows.iter().find(|r| r.scheme == label).unwrap().required_rf;
         assert!(get("combined") <= get("baseline"));
         assert!(rows.iter().all(|r| r.required_rf <= 280));
@@ -853,14 +794,13 @@ mod tests {
     #[test]
     fn shared_matrix_reproduces_solo_rows() {
         // A figure assembled from a shared (over-provisioned) matrix
-        // must produce exactly the rows of its solo wrapper: results
-        // are keyed, not positional.
+        // must produce exactly the rows of a matrix holding only its
+        // own points: results are keyed, not positional.
         let sim = tiny(500, 2_000);
-        let mut matrix = RunMatrix::new();
-        matrix.ensure(&sim.core, &fig13_points(&sim));
-        matrix.ensure(&sim.core, &fig11_points(&sim));
+        let mut matrix = ensured(&sim, &fig13_points(&sim));
+        matrix.ensure_with(&Session::default().quiet(), &sim.core, &fig11_points(&sim));
         let shared = fig13_assemble(&sim, &matrix);
-        let solo_rows = fig13(&sim);
+        let solo_rows = fig13_assemble(&sim, &ensured(&sim, &fig13_points(&sim)));
         assert_eq!(shared.len(), solo_rows.len());
         for (a, b) in shared.iter().zip(&solo_rows) {
             assert_eq!(a.class, b.class);
@@ -873,12 +813,19 @@ mod tests {
 #[cfg(test)]
 mod ablation_tests {
     use super::*;
+    use crate::session::Session;
     use atr_pipeline::CoreConfig;
 
     #[test]
     fn counter_width_three_bits_suffice() {
         let sim = SimConfig { core: CoreConfig::default(), warmup: 1_000, measure: 6_000 };
-        let rows = ablation_counter_width(&sim);
+        let mut matrix = RunMatrix::new();
+        matrix.ensure_with(
+            &Session::default().quiet(),
+            &sim.core,
+            &ablation_counter_width_points(&sim),
+        );
+        let rows = ablation_counter_width_assemble(&sim, &matrix);
         let three = rows.iter().find(|r| r.variant == "3-bit").unwrap();
         assert!(
             three.relative_ipc > 0.98,

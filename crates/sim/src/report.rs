@@ -1,5 +1,5 @@
 //! Plain-text table rendering and JSON result persistence for the
-//! experiment binaries.
+//! `all_experiments` driver.
 
 use atr_json::ToJson;
 use atr_telemetry::{CpiBucket, CpiStack};
@@ -100,31 +100,15 @@ pub fn coverage_marker(failed: usize, requested: usize) -> Option<String> {
     }
 }
 
-/// The directory experiment JSON lands in: `ATR_RESULTS_DIR` if set,
-/// otherwise `<workspace root>/results` — so the binaries write to the
-/// same place no matter which directory they are launched from.
-#[must_use]
-pub fn results_dir() -> PathBuf {
-    if let Some(dir) = std::env::var_os("ATR_RESULTS_DIR") {
-        return PathBuf::from(dir);
-    }
-    // crates/sim/ -> workspace root, resolved at compile time.
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crate dir has a workspace root")
-        .join("results")
-}
-
-/// Persists experiment rows as JSON under [`results_dir`] (created on
-/// demand), returning the written path.
+/// Persists experiment rows as `<dir>/<name>.json` (creating `dir` on
+/// demand), returning the written path. Entry points resolve `dir` once
+/// with [`crate::config::results_dir`].
 ///
 /// # Errors
 ///
 /// Returns any I/O error from creating the directory or writing.
-pub fn save_json<T: ToJson + ?Sized>(name: &str, rows: &T) -> std::io::Result<PathBuf> {
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir)?;
+pub fn save_json<T: ToJson + ?Sized>(dir: &Path, name: &str, rows: &T) -> std::io::Result<PathBuf> {
+    std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.json"));
     std::fs::write(&path, rows.to_json().pretty())?;
     Ok(path)
@@ -178,20 +162,12 @@ mod tests {
     }
 
     #[test]
-    fn results_dir_override_and_fallback() {
-        // One test covers both paths so no parallel test observes the
-        // transient env-var state.
-        let dir = std::env::temp_dir().join("atr_sim_report_test");
-        std::env::set_var("ATR_RESULTS_DIR", &dir);
-        let path = save_json("unit_test_rows", &vec![1.5f64, 2.0]).unwrap();
-        std::env::remove_var("ATR_RESULTS_DIR");
+    fn save_json_writes_under_the_given_dir() {
+        let dir = std::env::temp_dir().join(format!("atr_sim_report_test_{}", std::process::id()));
+        let path = save_json(&dir, "unit_test_rows", &vec![1.5f64, 2.0]).unwrap();
+        assert_eq!(path, dir.join("unit_test_rows.json"));
         let body = std::fs::read_to_string(&path).unwrap();
         assert!(body.contains("1.5"));
-        assert!(path.starts_with(&dir));
         let _ = std::fs::remove_dir_all(&dir);
-
-        let fallback = results_dir();
-        assert!(fallback.ends_with("results"));
-        assert!(fallback.parent().unwrap().join("Cargo.toml").exists());
     }
 }

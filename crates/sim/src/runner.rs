@@ -4,7 +4,7 @@ use atr_core::{RegLifetime, ReleaseKind, ReleaseScheme};
 use atr_pipeline::telemetry::hist_names;
 use atr_pipeline::{CoreConfig, CoreStats, OooCore};
 use atr_telemetry::{Log2Hist, RunTelemetry, TelemetryConfig};
-use atr_workload::{Oracle, Program, SpecProfile, TraceSource};
+use atr_workload::{Oracle, Program, TraceSource};
 use std::sync::Arc;
 
 /// One run's parameters.
@@ -32,35 +32,6 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// A spec with the environment-controlled budget, audit switch, and
-    /// telemetry level — sugar for `for_session(&Session::from_env(), …)`.
-    #[must_use]
-    pub fn new(scheme: ReleaseScheme, rf_size: usize) -> Self {
-        RunSpec::for_session(&crate::session::Session::from_env(), scheme, rf_size)
-    }
-
-    /// A spec taking its audit switch and telemetry level from a
-    /// resolved [`crate::session::Session`] (budget still from
-    /// `ATR_SIM_WARMUP`/`ATR_SIM_INSTS` — the budget is part of the
-    /// *measurement*, not the session's serving knobs).
-    #[must_use]
-    pub fn for_session(
-        session: &crate::session::Session,
-        scheme: ReleaseScheme,
-        rf_size: usize,
-    ) -> Self {
-        let (warmup, measure) = crate::config::budget_from_env();
-        RunSpec {
-            scheme,
-            rf_size,
-            warmup,
-            measure,
-            collect_events: false,
-            audit: session.audit,
-            telemetry: session.telemetry,
-        }
-    }
-
     /// Enables lifetime-event collection.
     #[must_use]
     pub fn with_events(mut self) -> Self {
@@ -171,12 +142,6 @@ fn collect_telemetry(core: &mut OooCore) -> RunTelemetry {
     out.hists.push((hist_names::REG_LIFETIME.to_owned(), lifetime));
     out.hists.push((hist_names::CLAIM_DURATION.to_owned(), claim));
     out
-}
-
-/// Convenience: run a named SPEC profile.
-#[must_use]
-pub fn run_profile(base: &CoreConfig, profile: &SpecProfile, spec: &RunSpec) -> RunResult {
-    run(base, profile.build(), spec)
 }
 
 /// Geometric mean of positive values (the paper's average speedups).

@@ -1,19 +1,15 @@
 //! The typed execution session: every runtime knob resolved **once**.
 //!
-//! Before this module existed, the executor re-read
-//! `ATR_AUDIT`/`ATR_TELEMETRY` per point *inside worker threads*, which
-//! wasted syscalls and let parallel tests race on transient env state.
-//! A [`Session`] is the one place the environment is consulted:
-//! [`Session::from_env`] resolves every `ATR_*` variable at the
-//! executor/driver entry, and the resolved struct is threaded
-//! explicitly through [`crate::executor::execute_session`] and
-//! [`crate::matrix::RunMatrix::ensure_with`]. No `std::env` read
-//! remains inside the per-point worker path.
-//!
-//! Every field is also settable in code (builder style), so tests and
-//! library users get deterministic sessions with no env coupling at
-//! all. The `ATR_*` names remain the compatibility surface — see the
-//! README's environment-variable reference table.
+//! A [`Session`] carries the serving and observation knobs of one pass
+//! (threads, progress, audit, telemetry, trace cache, journal, retries)
+//! and is threaded explicitly through
+//! [`crate::executor::execute_session`] and
+//! [`crate::matrix::RunMatrix::ensure_with`]; nothing below them reads
+//! the environment. An entry point builds one with
+//! `Session::from_env()` (defined in [`crate::config`], next to every
+//! other `ATR_*` read). [`Session::default`] reads nothing, and the
+//! builder methods set each knob in code, so tests and library users
+//! get deterministic sessions.
 
 use atr_telemetry::TelemetryConfig;
 use std::path::{Path, PathBuf};
@@ -78,25 +74,6 @@ impl Default for Session {
 }
 
 impl Session {
-    /// Resolves every `ATR_*` knob from the environment, once. This is
-    /// the compatibility surface: the variable names and their parsing
-    /// are unchanged from the scattered `*_from_env()` era — they are
-    /// just read at one entry point instead of per worker iteration.
-    #[must_use]
-    pub fn from_env() -> Self {
-        Session {
-            threads: crate::executor::thread_count(),
-            progress: crate::config::progress_from_env(),
-            audit: crate::config::audit_from_env(),
-            telemetry: crate::config::telemetry_from_env(),
-            trace_cache: crate::config::trace_cache_from_env(),
-            trace_ff: crate::config::trace_ff_from_env(),
-            journal: crate::config::journal_from_env(),
-            retries: DEFAULT_RETRIES,
-            fault_injection: crate::config::fault_injection_from_env(),
-        }
-    }
-
     /// Overrides the worker count (1 = serial).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {

@@ -93,7 +93,9 @@ pub fn validate_record(line: &str) -> Result<(), String> {
 }
 
 /// Where records go: the `ATR_TELEMETRY_OUT` file (append, created on
-/// demand) or stdout when unset.
+/// demand) or stdout when unset. The variable is read here, when each
+/// pass ends, so a caller can point consecutive passes at different
+/// files.
 ///
 /// Appending keeps one experiment binary's multiple executor passes in
 /// a single file; a sweep script truncates it up front if it wants a
@@ -102,7 +104,7 @@ pub fn emit_lines(lines: &[String]) {
     if lines.is_empty() {
         return;
     }
-    match std::env::var_os("ATR_TELEMETRY_OUT") {
+    match crate::config::telemetry_out() {
         Some(path) => {
             let appended =
                 std::fs::OpenOptions::new().create(true).append(true).open(&path).and_then(
@@ -116,7 +118,7 @@ pub fn emit_lines(lines: &[String]) {
             if let Err(e) = appended {
                 atr_telemetry::warn!(
                     "could not append telemetry records to {}: {e}",
-                    path.to_string_lossy()
+                    path.display()
                 );
             }
         }

@@ -4,7 +4,7 @@
 
 use atr_core::ReleaseScheme;
 use atr_pipeline::CoreConfig;
-use atr_sim::runner::{run_profile, RunSpec};
+use atr_sim::{run, RunSpec};
 use atr_telemetry::{CpiBucket, TelemetryConfig, TelemetryLevel};
 use atr_workload::spec::all_profiles;
 
@@ -36,7 +36,7 @@ fn cpi_invariant_holds_for_all_schemes_and_profiles() {
     let base = CoreConfig::default();
     for profile in &all_profiles() {
         for scheme in SCHEMES {
-            let r = run_profile(&base, profile, &spec(scheme, 64, 500, 2_000));
+            let r = run(&base, profile.build(), &spec(scheme, 64, 500, 2_000));
             let cpi = r
                 .telemetry
                 .cpi
@@ -64,7 +64,7 @@ fn freelist_stall_bucket_shrinks_under_atr() {
     let profiles = all_profiles();
     let pressured = profiles.iter().find(|p| p.name == "548.exchange2_r").expect("profile exists");
     let stalls = |scheme: ReleaseScheme| {
-        let r = run_profile(&base, pressured, &spec(scheme, 64, 2_000, 20_000));
+        let r = run(&base, pressured.build(), &spec(scheme, 64, 2_000, 20_000));
         r.telemetry.cpi.as_ref().expect("stats level").get(CpiBucket::FreelistStall)
     };
     let baseline = stalls(ReleaseScheme::Baseline);
@@ -78,33 +78,27 @@ fn freelist_stall_bucket_shrinks_under_atr() {
 }
 
 /// Telemetry is a pure observer: the whole `CoreStats` block — not just
-/// IPC — must be bit-identical across off, stats, and trace levels.
+/// IPC — must be bit-identical across off, stats, and trace levels,
+/// under a scheme without ATR marking (where the stats level's lifetime
+/// log walks the live set) and one with it.
 #[test]
 fn telemetry_levels_never_perturb_core_stats() {
     let base = CoreConfig::default();
     let profiles = all_profiles();
-    let profile = profiles.iter().find(|p| p.name == "505.mcf_r").expect("profile exists");
-    let run_at = |level: TelemetryLevel| {
-        let mut s = spec(ReleaseScheme::Combined { redefine_delay: 0 }, 96, 500, 4_000);
-        s.telemetry.level = level;
-        run_profile(&base, profile, &s)
-    };
-    let off = run_at(TelemetryLevel::Off);
-    let stats = run_at(TelemetryLevel::Stats);
-    let trace = run_at(TelemetryLevel::Trace);
-    // `markings` is the one counter event collection legitimately
-    // enables (region marking for the log); everything timed must match.
-    let fingerprint = |r: &atr_sim::RunResult| {
-        format!(
-            "{:?} {:?} {:?} {:?}",
-            r.ipc.to_bits(),
-            (r.stats.cycles, r.stats.retired, r.stats.fetched, r.stats.flushes),
-            (r.stats.rename_freelist_stalls, r.stats.rename_backpressure_stalls),
-            (r.stats.int_prf, r.stats.fp_prf, r.stats.caches, r.stats.dram),
-        )
-    };
-    assert_eq!(fingerprint(&off), fingerprint(&stats));
-    assert_eq!(fingerprint(&off), fingerprint(&trace));
-    assert!(off.telemetry.is_empty());
-    assert!(!stats.telemetry.is_empty());
+    let program = profiles.iter().find(|p| p.name == "505.mcf_r").expect("profile exists").build();
+    for scheme in [ReleaseScheme::Baseline, ReleaseScheme::Combined { redefine_delay: 0 }] {
+        let run_at = |level: TelemetryLevel| {
+            let mut s = spec(scheme, 96, 500, 4_000);
+            s.telemetry.level = level;
+            run(&base, program.clone(), &s)
+        };
+        let off = run_at(TelemetryLevel::Off);
+        let stats = run_at(TelemetryLevel::Stats);
+        let trace = run_at(TelemetryLevel::Trace);
+        let fingerprint = |r: &atr_sim::RunResult| format!("{:?} {:?}", r.ipc.to_bits(), r.stats);
+        assert_eq!(fingerprint(&off), fingerprint(&stats), "{}", scheme.label());
+        assert_eq!(fingerprint(&off), fingerprint(&trace), "{}", scheme.label());
+        assert!(off.telemetry.is_empty());
+        assert!(!stats.telemetry.is_empty());
+    }
 }

@@ -1,10 +1,11 @@
 //! Runtime telemetry gating.
 //!
 //! Telemetry is an observer, never part of the simulated machine, so
-//! its level is read from the environment at run construction and is
-//! deliberately **excluded** from the SimPoint memoization key (same
-//! policy as `ATR_AUDIT`): flipping `ATR_TELEMETRY` must never fork
-//! the result cache, because results are identical either way.
+//! its level is deliberately **excluded** from the SimPoint memoization
+//! key (same policy as `ATR_AUDIT`): flipping `ATR_TELEMETRY` must never
+//! fork the result cache, because results are identical either way.
+//! `atr_sim::config` parses the `ATR_TELEMETRY*` variables into a
+//! [`TelemetryConfig`].
 
 /// How much the observer records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -57,45 +58,6 @@ impl Default for TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// Reads `ATR_TELEMETRY` (off|stats|trace), `ATR_TRACE_CAP`, and
-    /// `ATR_TELEMETRY_SERIES` (sampling interval in cycles). Malformed
-    /// values warn once and fall back to the defaults above.
-    #[must_use]
-    pub fn from_env() -> TelemetryConfig {
-        let mut cfg = TelemetryConfig::default();
-        if let Ok(raw) = std::env::var("ATR_TELEMETRY") {
-            match TelemetryLevel::parse(&raw) {
-                Some(level) => cfg.level = level,
-                None => {
-                    crate::warn!(
-                        "ignoring malformed ATR_TELEMETRY={raw:?} \
-                         (expected off|stats|trace); telemetry stays off"
-                    );
-                }
-            }
-        }
-        if let Ok(raw) = std::env::var("ATR_TRACE_CAP") {
-            match raw.trim().parse::<usize>() {
-                Ok(cap) => cfg.trace_cap = cap,
-                Err(_) => {
-                    crate::warn!(
-                        "ignoring malformed ATR_TRACE_CAP={raw:?}; \
-                         using {DEFAULT_TRACE_CAP}"
-                    );
-                }
-            }
-        }
-        if let Ok(raw) = std::env::var("ATR_TELEMETRY_SERIES") {
-            match raw.trim().parse::<u64>() {
-                Ok(iv) => cfg.series_interval = iv,
-                Err(_) => {
-                    crate::warn!("ignoring malformed ATR_TELEMETRY_SERIES={raw:?}; series off");
-                }
-            }
-        }
-        cfg
-    }
-
     /// True at `Stats` or `Trace`.
     #[must_use]
     pub fn stats_enabled(&self) -> bool {

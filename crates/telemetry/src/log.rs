@@ -44,6 +44,10 @@ static LEVEL: OnceLock<LogLevel> = OnceLock::new();
 /// The process-wide log level: `ATR_LOG` if set and valid, else `Info`.
 /// Read once and cached; a malformed value falls back to `Info` with a
 /// one-time warning (on stderr, like everything else here).
+///
+/// This is the one `ATR_*` read outside `atr_sim::config`: the logger
+/// is process-global and this crate sits below `atr-sim` in the crate
+/// graph, so it cannot take a resolved value from an entry point.
 pub fn level() -> LogLevel {
     *LEVEL.get_or_init(|| match std::env::var("ATR_LOG") {
         Ok(raw) => LogLevel::parse(&raw).unwrap_or_else(|| {

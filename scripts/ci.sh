@@ -13,6 +13,18 @@ cargo fmt --all --check
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== environment reads confined to the config module"
+# Library code reads ATR_* variables only through atr_sim::config; the
+# process-global logger of atr-telemetry (below atr-sim in the crate
+# graph) is the one stated exception. Binaries may read their args.
+env_reads=$(grep -rl 'std::env::var' crates/*/src --include='*.rs' | grep -v '/bin/' |
+    grep -vx -e crates/sim/src/config.rs -e crates/telemetry/src/log.rs || true)
+if [ -n "$env_reads" ]; then
+    echo "FAIL: std::env::var outside crates/sim/src/config.rs and crates/telemetry/src/log.rs:" >&2
+    echo "$env_reads" >&2
+    exit 1
+fi
+
 echo "== cargo test (tiny budget)"
 ATR_SIM_WARMUP=500 ATR_SIM_INSTS=2000 ATR_SIM_PROGRESS=0 \
     cargo test --workspace --offline -q
@@ -99,6 +111,31 @@ echo "trace gate OK: fingerprint $live_fp ($traces cached traces)"
 echo "wall clock: live ${live_ms}ms, cold-cache ${cold_ms}ms, warm-cache ${warm_ms}ms"
 awk -v l="$live_ms" -v w="$warm_ms" \
     'BEGIN { printf "warm-cache speedup over live: %.2fx\n", l / w }'
+
+echo "== all_experiments entry selection gate"
+# Named entries ensure only their own points, on a matrix of their own;
+# results are keyed, so each figure's JSON must be byte-identical to the
+# same file of the full live pass above. An unknown name must fail.
+subset_results="$(mktemp -d)"
+env $tiny ATR_RESULTS_DIR="$subset_results" \
+    cargo run --release --offline -p atr-bench --bin all_experiments -- \
+    fig10 fig13 ablations >/dev/null
+for name in fig10 fig13 ablations; do
+    if ! cmp -s "$subset_results/$name.json" "$live_results/$name.json"; then
+        echo "FAIL: 'all_experiments $name' diverged from the full pass's $name.json" >&2
+        exit 1
+    fi
+done
+if [ "$(ls "$subset_results" | wc -l)" -ne 3 ]; then
+    echo "FAIL: the fig10/fig13/ablations selection wrote other figures too" >&2
+    exit 1
+fi
+if cargo run --release --offline -q -p atr-bench --bin all_experiments -- no_such_entry \
+    >/dev/null 2>&1; then
+    echo "FAIL: an unknown entry name did not exit non-zero" >&2
+    exit 1
+fi
+echo "selection gate OK: fig10/fig13/ablations byte-identical to the full pass"
 
 echo "== journal interrupt-resume gate + journal-off/on fingerprint identity"
 # A journaled all_experiments pass is SIGKILLed mid-matrix, then resumed

@@ -4,8 +4,8 @@
 //! integration tests, and downstream users can depend on a single crate:
 //!
 //! ```
-//! use atr::sim::config::SimConfig;
-//! # let _ = SimConfig::golden_cove;
+//! use atr::sim::{RunMatrix, Session};
+//! # let _ = (RunMatrix::new(), Session::default());
 //! ```
 
 pub use atr_analysis as analysis;
